@@ -21,6 +21,8 @@ final case class LocalTree(treeId: Int, fromDim: Int, width: Int,
 
 /** The built HD-Index: τ RDB-trees + reference objects + the pre-computed
   * reference-to-reference distance matrix (needed by the Ptolemaic filter).
+  * `entries` is the build-time distributed form and holds the first
+  * `entriesN` objects; inserts reach only the driver-side trees.
   */
 final class HdIndexModel(
     val cfg: HdIndexConfig,
@@ -29,6 +31,7 @@ final class HdIndexModel(
     val refs: Array[Array[Float]],
     val refMatrix: Array[Array[Double]],
     val entries: Dataset[IndexEntry],
+    val entriesN: Long,
     val trees: Array[LocalTree],
     val refdistsById: Array[Array[Float]],
     val buildMillis: Long) extends Serializable {
@@ -108,7 +111,7 @@ object HdIndex {
       LocalTree(t, from, width, es.map(_.hkey), es.map(_.id))
     }
 
-    new HdIndexModel(cfg, n, refIds, refs, refMatrix, entries, trees, refdistsById,
+    new HdIndexModel(cfg, n, refIds, refs, refMatrix, entries, n, trees, refdistsById,
                      (System.nanoTime() - t0) / 1000000L)
   }
 
@@ -123,7 +126,8 @@ object HdIndex {
     * set R is *not* recomputed (random references perform close to SSS,
     * Fig. 4, and updates are few relative to n). Updates the driver-side
     * tree view in place conceptually; the distributed `entries` Dataset is
-    * the bulk-build form and is refreshed by re-running the build job.
+    * the bulk-build form and is refreshed by re-running the build job, so
+    * `HdQuery.searchSpark` rejects the new model.
     *
     * @param id must be the next dense id (== current n)
     * @return a new model sharing cfg/references with the entry inserted
@@ -131,6 +135,8 @@ object HdIndex {
   def insert(model: HdIndexModel, id: Long, vec: Array[Float]): HdIndexModel = {
     require(id == model.n, s"ids must stay dense: expected ${model.n}, got $id")
     val cfg = model.cfg
+    require(vec.length == cfg.dim, s"vector has ${vec.length} dimensions, the index ${cfg.dim}")
+    require(vec.forall(v => !v.isNaN && !v.isInfinite), "vector has a NaN or infinite coordinate")
     val rd  = model.refs.map(r => Distance.l2(vec, r).toFloat)
     val trees = model.trees.map { tr =>
       val key = Hilbert(tr.width, cfg.omega).encodeVector(vec, tr.fromDim, cfg.lo, cfg.hi)
@@ -153,7 +159,7 @@ object HdIndex {
     val nrd = java.util.Arrays.copyOf(model.refdistsById, model.refdistsById.length + 1)
     nrd(id.toInt) = rd
     val m2 = new HdIndexModel(cfg, model.n + 1, model.refIds, model.refs, model.refMatrix,
-                              model.entries, trees, nrd, model.buildMillis)
+                              model.entries, model.entriesN, trees, nrd, model.buildMillis)
     m2.deleted ++= model.deleted
     m2
   }

@@ -63,6 +63,38 @@ class DistanceSpec extends AnyFunSuite {
     }
   }
 
+  test("property: l2Bounded4 is l2 when it runs to the end and above the limit when it stops") {
+    val vec = Gen.listOfN(70, Gen.choose(-10.0, 10.0)).map(_.map(_.toFloat).toArray)
+    val lanes = Gen.zip(Gen.listOfN(5, vec), Gen.choose(0.0, 2.0), Gen.listOfN(4, Gen.oneOf(32, 70)))
+    forAllSamples(lanes, n = 300) { case (vs, f, differ) =>
+      val b = vs(4)
+      // a vector equal to b after dimension 32 has its whole distance in the
+      // first block, so its partial root can tie the limit before the end
+      val Seq(a0, a1, a2, a3) = vs.take(4).zip(differ).map { case (a, n) =>
+        Array.tabulate(70)(i => if (i < n) a(i) else b(i))
+      }
+      val d = Seq(a0, a1, a2, a3).map(Distance.l2(_, b))
+      val out = new Array[Double](4)
+      Distance.l2Bounded4(a0, a1, a2, a3, b, Double.PositiveInfinity, out)
+      assert(out.toSeq == d)
+      Distance.l2Bounded4(a0, a1, a2, a3, b, d.min, out) // a tie with the limit is not abandoned
+      assert(out.toSeq == d)
+      val limit = d.min * f
+      Distance.l2Bounded4(a0, a1, a2, a3, b, limit, out)
+      if (out.toSeq != d) assert(out.forall(_ > limit) && out.indices.forall(i => out(i) <= d(i)))
+    }
+  }
+
+  test("property: TopK keeps the k smallest (score, id) pairs with tied scores") {
+    val gen = Gen.zip(Gen.listOf(Gen.choose(0, 5)), Gen.choose(0, 12))
+    forAllSamples(gen, n = 300) { case (scores, k) =>
+      val scored = scores.zipWithIndex.map { case (s, i) => ((i * 7919L) % 1000, s.toDouble) }.distinctBy(_._1)
+      val heap = new Distance.TopK(k)
+      scored.foreach { case (id, s) => heap.offer(id, s) }
+      assert(heap.result().toSeq == scored.sortBy { case (id, s) => (s, id) }.take(k))
+    }
+  }
+
   test("mergeTopK merges sorted lists correctly") {
     val a = Array((1L, 1.0), (3L, 3.0))
     val b = Array((2L, 2.0), (4L, 4.0))

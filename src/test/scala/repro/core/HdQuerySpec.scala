@@ -147,6 +147,39 @@ class HdQuerySpec extends SparkSpec {
     }
   }
 
+  // --- input contracts: both paths reject a bad query at the API edge ------
+
+  private def assertRejected(q: Array[Float], p: QueryParams): Unit = {
+    assertThrows[IllegalArgumentException](HdQuery.searchLocal(model, q, p, TestFixtures.getVec))
+    assertThrows[IllegalArgumentException](
+      HdQuery.searchSpark(spark, model, Array(VecRow(-1L, q)), p, TestFixtures.getVec))
+  }
+
+  test("a query of the wrong dimension is rejected") {
+    assertRejected(queries(0).vec.take(model.cfg.dim - 1), params)
+    assertRejected(queries(0).vec :+ 0.5f, params)
+  }
+
+  test("a query with a NaN coordinate is rejected") {
+    assertRejected(queries(0).vec.updated(3, Float.NaN), params)
+  }
+
+  test("a query with an infinite coordinate is rejected") {
+    assertRejected(queries(0).vec.updated(0, Float.PositiveInfinity), params)
+  }
+
+  test("k < 1 is rejected") {
+    assertRejected(queries(0).vec, params.copy(k = 0))
+  }
+
+  test("alpha < 1 is rejected") {
+    assertRejected(queries(0).vec, params.copy(alpha = 0))
+  }
+
+  test("gamma < 1 is rejected") {
+    assertRejected(queries(0).vec, params.copy(gamma = 0))
+  }
+
   test("final top-k ranking of candidates matches SQL ordering (DuckDB oracle)") {
     import spark.implicits._
     // candidates + exact distances of one query, ranked by our code vs SQL

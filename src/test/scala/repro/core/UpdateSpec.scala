@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.{SparkSpec, TestFixtures, VectorData}
+import repro.{SparkSpec, TestFixtures, VecRow, VectorData}
 
 /** Sec. 3.6 — handling updates: insertions without reference recomputation,
   * deletions by marking.
@@ -66,6 +66,27 @@ class UpdateSpec extends SparkSpec {
   test("insert with a non-dense id is rejected") {
     val m0 = freshModel()
     assertThrows[IllegalArgumentException](HdIndex.insert(m0, m0.n + 5, spec.point(1L)))
+  }
+
+  test("insert rejects a vector of the wrong dimension") {
+    val m0 = freshModel()
+    assertThrows[IllegalArgumentException](HdIndex.insert(m0, m0.n, spec.point(1L).drop(1)))
+  }
+
+  test("insert rejects a vector with a NaN coordinate") {
+    val m0 = freshModel()
+    assertThrows[IllegalArgumentException](HdIndex.insert(m0, m0.n, spec.point(1L).updated(2, Float.NaN)))
+  }
+
+  test("searchSpark rejects a model with inserts since its build") {
+    val m0 = freshModel()
+    val v  = spec.point(31337L)
+    val m1 = HdIndex.insert(m0, m0.n, v)
+    val getVec: Long => Array[Float] = id => if (id == m0.n) v else local(id.toInt)
+    val p = QueryParams.recommended(5, 128)
+    assert(HdQuery.searchSpark(spark, m0, Array(VecRow(-1L, v)), p, getVec).length == 1)
+    val e = intercept[IllegalArgumentException](HdQuery.searchSpark(spark, m1, Array(VecRow(-1L, v)), p, getVec))
+    assert(e.getMessage.contains("rebuild the index"))
   }
 
   test("a marked-deleted object is never returned; other answers unaffected") {
